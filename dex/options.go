@@ -46,7 +46,6 @@ type options struct {
 	audit       AuditMode
 	edgeEvents  bool
 	asyncBuf    int // WithAsyncEvents buffer; -1 = sync (NewConcurrent only)
-	pipeDepth   int // WithPipeline window depth; 0 = serialized (NewConcurrent only)
 	persistDir  string
 	popt        persist.Options
 	err         error
@@ -177,27 +176,6 @@ func WithAuditMode(m AuditMode) Option {
 			return
 		}
 		o.audit = m
-	}
-}
-
-// WithWorkers sets the width of the worker pool that runs the type-1
-// recovery walks of one operation in parallel (default 1 = serial).
-// Each displaced vertex's random walk is independent, so multi-vertex
-// recoveries — deletion storms, batch insertions — fan their walk
-// batches out across the pool. Determinism is preserved exactly: for a
-// fixed seed the mapping, overlay, and per-step metrics are
-// byte-identical at every width (walk seeds are drawn in serial order
-// and every speculative result is revalidated before commit), so
-// Workers only changes wall-clock time. Networks built with n > 1
-// should be Closed when discarded promptly; otherwise the pool is
-// released when the network is garbage collected.
-func WithWorkers(n int) Option {
-	return func(o *options) {
-		if n < 1 {
-			o.fail("workers %d < 1", n)
-			return
-		}
-		o.cfg.Workers = n
 	}
 }
 

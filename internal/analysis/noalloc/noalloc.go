@@ -1,10 +1,10 @@
 // Package noalloc checks the //dexvet:noalloc annotation: a function so
 // marked must contain no allocation site that escape analysis sends to
-// the heap. The walk-hop, steady-state recovery, speculation write-set
-// and WAL-append paths carry the annotation — their 0 allocs/op is
-// load-bearing (Lemma 2's O(1)-expected walks are only O(1) if a hop
-// never allocates), and this turns the runtime alloc gates' contract
-// into a vet-time failure instead of a benchmark regression.
+// the heap. The walk-hop, steady-state recovery and WAL-append paths
+// carry the annotation — their 0 allocs/op is load-bearing (Lemma 2's
+// O(1)-expected walks are only O(1) if a hop never allocates), and this
+// turns the runtime alloc gates' contract into a vet-time failure
+// instead of a benchmark regression.
 //
 // Evidence comes from the real compiler: the analyzer builds the
 // package with -gcflags=-m=1 and maps every "escapes to heap" /

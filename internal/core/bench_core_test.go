@@ -126,31 +126,3 @@ func TestRecoveryOpZeroAllocsSteadyState(t *testing.T) {
 		t.Fatalf("steady-state delete+insert allocates %.2f per pair, want 0", allocs)
 	}
 }
-
-// TestSpecWriteSetZeroAllocs pins the speculation write-set reset and
-// membership path: arming, marking through a commit, and probing must
-// not allocate once the shard columns exist — this is the read path
-// pool workers race through on every revalidated batch.
-func TestSpecWriteSetZeroAllocs(t *testing.T) {
-	nw := mustNew(t, 64, DefaultConfig())
-	nodes := nw.Nodes()
-	visited := make([]int32, 0, 3)
-	for _, u := range []NodeID{nodes[1], nodes[3], nodes[5]} {
-		s, ok := nw.real.SlotOf(u)
-		if !ok {
-			t.Fatalf("node %d has no slot", u)
-		}
-		visited = append(visited, s)
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		nw.st.armSpec()
-		nw.st.markDirty(nodes[3])
-		if !nw.specDisturbed(visited) {
-			t.Fatal("write-set lost a mark")
-		}
-		nw.st.disarmSpec()
-	})
-	if allocs != 0 {
-		t.Fatalf("spec write-set cycle allocates %.2f, want 0", allocs)
-	}
-}

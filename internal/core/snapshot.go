@@ -12,11 +12,12 @@ import (
 // rebuilds a live engine from it. The design leans on two facts the
 // earlier PRs established:
 //
-//   - The engine's only RNG consumer is the walk-seed stream (walkSeed /
-//     predrawSeedsInto, both through drawU64), so RNG state is exactly
-//     (cfg.Seed, rngDraws, the pending seedQ suffix): a restore
-//     fast-forwards a fresh source and repopulates the FIFO, and the
-//     next walk sees the same uint64 the uncrashed run would have.
+//   - The engine's only RNG consumer is the walk-seed stream (walkSeed,
+//     through drawU64), so RNG state is exactly (cfg.Seed, rngDraws,
+//     the pending seedQ suffix): a restore fast-forwards a fresh source
+//     and repopulates the queue, and the next walk sees the same uint64
+//     the uncrashed run would have. Serial runs write an empty suffix;
+//     images from older writers may carry one.
 //
 //   - Most per-node state is recomputable from the mapping: load(u) =
 //     |Sim(u)| + |NewSim(u)|, the |Spare|/|Low| counters rebuild through
@@ -28,10 +29,9 @@ import (
 //     state and must survive a restore bit-for-bit.
 //
 // Not serialized (and provably unobservable between steps): the
-// in-flight step scratch (nw.step, dirty set, speculation buffers, spec
-// counters), the audit RNG (audits never mutate engine state), and the
-// arena layouts on both sides (content, not placement, is what walks
-// read).
+// in-flight step scratch (nw.step, the dirty set), the audit RNG
+// (audits never mutate engine state), and the arena layouts on both
+// sides (content, not placement, is what walks read).
 
 // stateVersion is the engine snapshot format version.
 const stateVersion = 1
@@ -157,7 +157,10 @@ func (nw *Network) AppendState(enc *wire.Encoder) error {
 	enc.Varint(int64(cfg.WalkRetryLimit))
 	enc.Uvarint(uint64(cfg.Mode))
 	enc.Varint(cfg.Seed)
-	enc.Varint(int64(cfg.Workers))
+	// Retired worker-pool width: the field stays in the format, written
+	// as 0 (what a default serial run always wrote), so stateVersion 1
+	// images are unchanged.
+	enc.Varint(0)
 	enc.Varint(int64(cfg.HistoryCap))
 
 	enc.Varint(nw.z.P())
@@ -226,10 +229,8 @@ func (nw *Network) AppendState(enc *wire.Encoder) error {
 // RestoreNetwork rebuilds a live engine from a stream produced by
 // AppendState. The restored engine continues byte-identically to the
 // engine that was serialized: same History, mapping, loads, overlay,
-// and walk-seed stream. workersOverride >= 0 replaces the serialized
-// worker count (worker width never affects outcomes, only wall-clock);
-// pass -1 to keep the stored value.
-func RestoreNetwork(dec *wire.Decoder, workersOverride int) (*Network, error) {
+// and walk-seed stream.
+func RestoreNetwork(dec *wire.Decoder) (*Network, error) {
 	if v := dec.Uvarint(); dec.Err() == nil && v != stateVersion {
 		return nil, fmt.Errorf("core: unknown state version %d", v)
 	}
@@ -240,11 +241,8 @@ func RestoreNetwork(dec *wire.Decoder, workersOverride int) (*Network, error) {
 	cfg.WalkRetryLimit = int(dec.Varint())
 	cfg.Mode = RecoveryMode(dec.Uvarint())
 	cfg.Seed = dec.Varint()
-	cfg.Workers = int(dec.Varint())
+	_ = dec.Varint() // retired worker-pool width; never affected outcomes
 	cfg.HistoryCap = int(dec.Varint())
-	if workersOverride >= 0 {
-		cfg.Workers = workersOverride
-	}
 
 	p := dec.Varint()
 	nextID := NodeID(dec.Varint())
@@ -272,7 +270,7 @@ func RestoreNetwork(dec *wire.Decoder, workersOverride int) (*Network, error) {
 		return nil, err
 	}
 	if cfg.Zeta < 2 || cfg.Theta <= 0 || cfg.Theta > 0.5 || cfg.WalkFactor < 1 ||
-		cfg.HistoryCap < 0 || cfg.Workers < 0 || cfg.Mode > Staggered {
+		cfg.HistoryCap < 0 || cfg.Mode > Staggered {
 		return nil, fmt.Errorf("core: invalid restored config %+v", cfg)
 	}
 	z, err := pcycle.New(p)
@@ -453,7 +451,7 @@ func RestoreNetwork(dec *wire.Decoder, workersOverride int) (*Network, error) {
 	nw.refreshDist0()
 
 	// RNG: fast-forward a fresh source to the recorded stream position,
-	// then restore the pre-drawn FIFO suffix.
+	// then restore the pending seed suffix.
 	for i := uint64(0); i < rngDraws; i++ {
 		nw.rng.Uint64()
 	}

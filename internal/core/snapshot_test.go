@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/wire"
@@ -20,14 +21,29 @@ func encodeState(t *testing.T, nw *Network) []byte {
 }
 
 // restoreState decodes a snapshot, failing the test on error.
-func restoreState(t *testing.T, data []byte, workers int) *Network {
+func restoreState(t *testing.T, data []byte) *Network {
 	t.Helper()
-	nw, err := RestoreNetwork(wire.NewDecoder(data), workers)
+	nw, err := RestoreNetwork(wire.NewDecoder(data))
 	if err != nil {
 		t.Fatalf("RestoreNetwork: %v", err)
 	}
 	return nw
 }
+
+// predrawPending appends k walk seeds drawn from nw's RNG to its
+// pending seed queue. An engine that ran an N-wide speculative walk
+// pool checkpointed with up to N-1 such seeds pre-drawn but not yet
+// consumed; the checkpoint format still carries that suffix and
+// walkSeed drains it before drawing fresh, so the consumed seed stream
+// is the same as without the pre-draw.
+func predrawPending(nw *Network, k int) {
+	for i := 0; i < k; i++ {
+		nw.seedQ = append(nw.seedQ, nw.drawU64())
+	}
+}
+
+// pendingSeeds returns nw's unconsumed pending seed suffix.
+func pendingSeeds(nw *Network) []uint64 { return nw.seedQ[nw.seedHead:] }
 
 // requireSameState compares everything observable between two engines.
 func requireSameState(t *testing.T, tag string, a, b *Network) {
@@ -55,6 +71,10 @@ func requireSameState(t *testing.T, tag string, a, b *Network) {
 	}
 	if a.Totals() != b.Totals() {
 		t.Fatalf("%s: totals differ:\n%+v\n%+v", tag, a.Totals(), b.Totals())
+	}
+	if a.rngDraws != b.rngDraws || !slices.Equal(pendingSeeds(a), pendingSeeds(b)) {
+		t.Fatalf("%s: RNG state differs: draws %d vs %d, pending seeds %v vs %v",
+			tag, a.rngDraws, b.rngDraws, pendingSeeds(a), pendingSeeds(b))
 	}
 	if err := graphsEqual(a.Graph(), b.Graph()); err != nil {
 		t.Fatalf("%s: overlays differ: %v", tag, err)
@@ -123,26 +143,34 @@ func churnBoth(t *testing.T, a, b *Network, seed int64, steps int) {
 	}
 }
 
+// The wN arms snapshot an engine holding the N-1 pre-drawn walk seeds
+// an N-wide walk pool could leave in a checkpoint (see predrawPending);
+// the restored engine must carry the same suffix and consume it in the
+// same order. w1 is the plain serial round trip.
 func TestSnapshotRoundTripSteady(t *testing.T) {
 	for _, mode := range []RecoveryMode{Simplified, Staggered} {
 		for _, workers := range []int{1, 4, 8} {
 			t.Run(fmt.Sprintf("%v/w%d", mode, workers), func(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.Mode = mode
-				cfg.Workers = workers
 				cfg.Seed = 42
 				nw, err := New(64, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer nw.Close()
 				snapChurn(t, nw, 7, 300)
+				predrawPending(nw, workers-1)
 
 				data := encodeState(t, nw)
-				re := restoreState(t, data, workers)
-				defer re.Close()
+				re := restoreState(t, data)
+				if got := len(pendingSeeds(re)); got != workers-1 {
+					t.Fatalf("restored %d pending seeds, want %d", got, workers-1)
+				}
 				requireSameState(t, "immediately after restore", nw, re)
 				churnBoth(t, nw, re, 99, 300)
+				if n := len(pendingSeeds(re)); n != 0 {
+					t.Fatalf("%d pending seeds left after continuation churn", n)
+				}
 			})
 		}
 	}
@@ -165,18 +193,17 @@ func snapChurn(t *testing.T, nw *Network, seed int64, steps int) {
 
 // TestSnapshotRoundTripMidStagger snapshots while a staggered rebuild is
 // in flight — in both phases — and requires the restored engine to drive
-// the rebuild to the same commit.
+// the rebuild to the same commit. The w4 arm adds three pre-drawn walk
+// seeds before each snapshot, as TestSnapshotRoundTripSteady does.
 func TestSnapshotRoundTripMidStagger(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
 			cfg := DefaultConfig()
-			cfg.Workers = workers
 			cfg.Seed = 11
 			nw, err := New(64, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer nw.Close()
 
 			rng := rand.New(rand.NewSource(5))
 			snapshots := 0
@@ -191,12 +218,12 @@ func TestSnapshotRoundTripMidStagger(t *testing.T) {
 				// Snapshot once per phase per rebuild encountered.
 				if (phase == 1 && snapshots%2 == 0) || (phase == 2 && snapshots%2 == 1) {
 					snapshots++
+					predrawPending(nw, workers-1)
 					data := encodeState(t, nw)
-					re := restoreState(t, data, workers)
+					re := restoreState(t, data)
 					requireSameState(t, fmt.Sprintf("mid-stagger phase %d", phase), nw, re)
 					// Drive both to the rebuild commit and beyond.
 					churnBoth(t, nw, re, int64(1000+i), 200)
-					re.Close()
 				}
 			}
 			if snapshots < 2 {
@@ -238,7 +265,7 @@ func TestSnapshotRejectsTruncation(t *testing.T) {
 	data := encodeState(t, nw)
 	stride := len(data)/97 + 1
 	for cut := 0; cut < len(data); cut += stride {
-		if _, err := RestoreNetwork(wire.NewDecoder(data[:cut]), -1); err == nil {
+		if _, err := RestoreNetwork(wire.NewDecoder(data[:cut])); err == nil {
 			t.Fatalf("truncation at %d/%d accepted", cut, len(data))
 		}
 	}

@@ -52,7 +52,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // NodeID identifies a node. The zero value is a valid ID.
@@ -925,7 +925,7 @@ func (g *Graph) Nodes() []NodeID {
 	for u := range g.index {
 		out = append(out, u)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

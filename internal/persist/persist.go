@@ -30,8 +30,7 @@ import (
 )
 
 // Options tunes a Log. The zero value means: checkpoint every 4096
-// operations, fsync every operation, keep the stored worker count on
-// resume.
+// operations, fsync every operation.
 type Options struct {
 	// CheckpointEvery is the number of logged operations between
 	// automatic checkpoints (0 = 4096, negative = never automatic).
@@ -45,10 +44,6 @@ type Options struct {
 	// death is retained (the page cache survives); machine death is
 	// not. For tests and benchmarks.
 	NoSync bool
-	// Workers overrides the engine worker-pool width on resume
-	// (0 = keep the checkpointed value). Worker width never changes
-	// seeded outcomes, so it is resumable-safe by construction.
-	Workers int
 }
 
 func (o Options) checkpointEvery() int {
@@ -63,13 +58,6 @@ func (o Options) groupCommit() int {
 		return 1
 	}
 	return o.GroupCommit
-}
-
-func (o Options) workersOverride() int {
-	if o.Workers == 0 {
-		return -1 // keep stored
-	}
-	return o.Workers
 }
 
 // Log is the durable-state manager for one engine: one directory
@@ -137,7 +125,6 @@ func Open(dir string, opt Options) (*Log, *core.Network, error) {
 	// recovered state and a new empty WAL, so the append path never
 	// has to splice onto a possibly-torn tail.
 	if err := l.Begin(eng); err != nil {
-		eng.Close()
 		return nil, nil, err
 	}
 	return l, eng, nil
@@ -166,13 +153,12 @@ func listWALs(dir string) ([]uint64, error) {
 // top of it.
 func (l *Log) recover(ckpts, wals []uint64) (*core.Network, error) {
 	ckptStep := ckpts[len(ckpts)-1]
-	step, eng, m, err := readCheckpoint(filepath.Join(l.dir, ckptName(ckptStep)), l.opt.workersOverride())
+	step, eng, m, err := readCheckpoint(filepath.Join(l.dir, ckptName(ckptStep)))
 	if err != nil {
 		return nil, fmt.Errorf("persist: load %s: %w", ckptName(ckptStep), err)
 	}
 	l.m = *m
 	if l.m.count != step {
-		eng.Close()
 		return nil, errCorrupt("checkpoint: history digest count disagrees with step")
 	}
 	// Pick the newest WAL. A crash between checkpoint write and WAL
@@ -184,11 +170,9 @@ func (l *Log) recover(ckpts, wals []uint64) (*core.Network, error) {
 	}
 	walFile := walName(wals[len(wals)-1])
 	if wals[len(wals)-1] > step {
-		eng.Close()
 		return nil, errCorrupt("wal is newer than every checkpoint")
 	}
 	if err := l.replay(filepath.Join(l.dir, walFile), eng); err != nil {
-		eng.Close()
 		return nil, fmt.Errorf("persist: replay %s: %w", walFile, err)
 	}
 	return eng, nil

@@ -170,71 +170,70 @@ func TestReopenMatchesUncrashedTwin(t *testing.T) {
 // TestCrashRecoveryGroupCommit: with group commit, a crash loses at
 // most the staged tail; recovery reconstructs the exact durable
 // prefix, and re-applying the lost suffix reconverges with a network
-// that never crashed. Exercised across both recovery modes and
-// worker widths 1, 4, and 8.
+// that never crashed. Exercised in both recovery modes. (The "/w1"
+// suffix names the serial width these subtests always ran at; it is
+// kept so the subtest names stay stable.)
 func TestCrashRecoveryGroupCommit(t *testing.T) {
 	const nOps = 180
 	for _, mode := range []dex.Mode{dex.Simplified, dex.Staggered} {
-		for _, workers := range []int{1, 4, 8} {
-			t.Run(fmt.Sprintf("%v/w%d", mode, workers), func(t *testing.T) {
-				dir := t.TempDir()
-				common := []dex.Option{dex.WithInitialSize(48), dex.WithMode(mode), dex.WithSeed(23), dex.WithWorkers(workers)}
-				popts := []dex.PersistOption{dex.WithCheckpointEvery(64), dex.WithGroupCommit(8), dex.WithNoSync(true)}
-				pnw := mustNew(t, append(common[:len(common):len(common)], dex.WithPersistence(dir, popts...))...)
-				oracle := mustNew(t, common...)
-				defer oracle.Close()
+		t.Run(fmt.Sprintf("%v/w1", mode), func(t *testing.T) {
+			dir := t.TempDir()
+			common := []dex.Option{dex.WithInitialSize(48), dex.WithMode(mode), dex.WithSeed(23)}
+			popts := []dex.PersistOption{dex.WithCheckpointEvery(64), dex.WithGroupCommit(8), dex.WithNoSync(true)}
+			pnw := mustNew(t, append(common[:len(common):len(common)], dex.WithPersistence(dir, popts...))...)
+			oracle := mustNew(t, common...)
+			defer oracle.Close()
 
-				rng := rand.New(rand.NewSource(31))
-				var nextID dex.NodeID = 1 << 32
-				ops := driveBoth(t, nOps, rng, &nextID, oracle, pnw)
-				pnw.Crash()
+			rng := rand.New(rand.NewSource(31))
+			var nextID dex.NodeID = 1 << 32
+			ops := driveBoth(t, nOps, rng, &nextID, oracle, pnw)
+			pnw.Crash()
 
-				re := mustNew(t, append(common[:len(common):len(common)], dex.WithPersistence(dir, popts...))...)
-				defer re.Close()
-				s := re.Totals().Steps
-				if s > nOps || s < nOps-7 {
-					t.Fatalf("recovered %d steps; want within group-commit window [%d, %d]", s, nOps-7, nOps)
+			re := mustNew(t, append(common[:len(common):len(common)], dex.WithPersistence(dir, popts...))...)
+			defer re.Close()
+			s := re.Totals().Steps
+			if s > nOps || s < nOps-7 {
+				t.Fatalf("recovered %d steps; want within group-commit window [%d, %d]", s, nOps-7, nOps)
+			}
+			// The recovered state must equal a fresh oracle run of
+			// exactly the durable prefix.
+			prefix := mustNew(t, common...)
+			defer prefix.Close()
+			for i := 0; i < s; i++ {
+				if err := applyOp(prefix, &ops[i]); err != nil {
+					t.Fatalf("prefix op %d: %v", i, err)
 				}
-				// The recovered state must equal a fresh oracle run of
-				// exactly the durable prefix.
-				prefix := mustNew(t, common...)
-				defer prefix.Close()
-				for i := 0; i < s; i++ {
-					if err := applyOp(prefix, &ops[i]); err != nil {
-						t.Fatalf("prefix op %d: %v", i, err)
-					}
-				}
-				requireSameNet(t, "recovered vs durable prefix", prefix, re)
+			}
+			requireSameNet(t, "recovered vs durable prefix", prefix, re)
 
-				// Re-apply the lost tail: the recovered network must
-				// reconverge with the never-crashed oracle, root and all.
-				for i := s; i < len(ops); i++ {
-					if err := applyOp(re, &ops[i]); err != nil {
-						t.Fatalf("reapply op %d: %v", i, err)
-					}
+			// Re-apply the lost tail: the recovered network must
+			// reconverge with the never-crashed oracle, root and all.
+			for i := s; i < len(ops); i++ {
+				if err := applyOp(re, &ops[i]); err != nil {
+					t.Fatalf("reapply op %d: %v", i, err)
 				}
-				requireSameNet(t, "after tail reapply", oracle, re)
-				if err := re.CheckInvariants(); err != nil {
-					t.Fatal(err)
-				}
+			}
+			requireSameNet(t, "after tail reapply", oracle, re)
+			if err := re.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
 
-				// The Merkle root over the full history must match a run
-				// that never crashed.
-				clean := mustNew(t, append(common[:len(common):len(common)],
-					dex.WithPersistence(t.TempDir(), popts...))...)
-				defer clean.Close()
-				for i := range ops {
-					if err := applyOp(clean, &ops[i]); err != nil {
-						t.Fatalf("clean op %d: %v", i, err)
-					}
+			// The Merkle root over the full history must match a run
+			// that never crashed.
+			clean := mustNew(t, append(common[:len(common):len(common)],
+				dex.WithPersistence(t.TempDir(), popts...))...)
+			defer clean.Close()
+			for i := range ops {
+				if err := applyOp(clean, &ops[i]); err != nil {
+					t.Fatalf("clean op %d: %v", i, err)
 				}
-				cr, cs := clean.LastRoot()
-				rr, rs := re.LastRoot()
-				if cr != rr || cs != rs {
-					t.Fatalf("history roots diverged across crash: %x/%d vs %x/%d", rr, rs, cr, cs)
-				}
-			})
-		}
+			}
+			cr, cs := clean.LastRoot()
+			rr, rs := re.LastRoot()
+			if cr != rr || cs != rs {
+				t.Fatalf("history roots diverged across crash: %x/%d vs %x/%d", rr, rs, cr, cs)
+			}
+		})
 	}
 }
 
@@ -312,11 +311,10 @@ func TestResumeRejectsMismatchedOptions(t *testing.T) {
 		dex.WithPersistence(dir, dex.WithNoSync(true))); err == nil {
 		t.Fatal("mismatched zeta accepted on resume")
 	}
-	// Worker width is explicitly allowed to differ.
-	re, err := dex.New(dex.WithInitialSize(32), dex.WithZeta(8), dex.WithWorkers(4),
+	re, err := dex.New(dex.WithInitialSize(32), dex.WithZeta(8),
 		dex.WithPersistence(dir, dex.WithNoSync(true)))
 	if err != nil {
-		t.Fatalf("workers override rejected: %v", err)
+		t.Fatalf("matching options rejected on resume: %v", err)
 	}
 	re.Close()
 	if _, err := dex.New(dex.WithRNG(rand.New(rand.NewSource(1))),
