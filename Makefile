@@ -8,7 +8,7 @@ FUZZTIME ?= 30s
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test test-race vet fmt lint check bench bench-graph bench-core bench-json bench-diff profile-churn fuzz fuzz-churn fuzz-graph fuzz-crash sim sim-scale dht experiments
+.PHONY: all build test test-race vet fmt lint check bench bench-graph bench-core bench-json bench-diff profile-churn mutants fuzz fuzz-churn fuzz-graph fuzz-crash sim sim-scale dht experiments
 
 all: check
 
@@ -63,8 +63,8 @@ bench-graph:
 	$(GO) test ./internal/graph -run '^$$' -bench 'WalkHop|GraphChurn' -benchtime 100000x
 
 # Engine-state benchmarks + alloc gates: one steady-state recovery op
-# (delete+insert) at 10^5 nodes on the dense slot-indexed store vs the
-# map-store oracle, the zero-allocation gates on the recovery path
+# (delete+insert) at 10^5 nodes on the slot-indexed store, the
+# zero-allocation gates on the recovery path
 # (mirrors bench-graph one layer up), and the Concurrent-façade churn
 # rows at 1/4/8/16 submitters.
 bench-core:
@@ -137,6 +137,15 @@ profile-churn:
 	$(GO) test ./internal/core -run '^$$' -bench 'RecoveryOp/dense/n=100000' \
 		-benchtime $(PROFILE_BENCHTIME) -timeout 20m $(PROFILE_FLAGS) \
 		-cpuprofile profiles/churn_cpu.pprof -memprofile profiles/churn_alloc.pprof
+
+# Store mutation harness: copies the module into a temp dir, seeds each
+# fault listed in internal/core/mutants_test.go into store.go in turn,
+# and requires `go test -short ./internal/core ./internal/persist` to
+# fail on every one. An anchor that no longer matches exactly once
+# fails the harness, so the mutant list cannot rot silently. Runs the
+# two suites once per mutant (a few minutes).
+mutants:
+	$(GO) test -tags mutants ./internal/core -run '^TestStoreMutants$$' -count 1 -timeout 60m -v
 
 # Differential fuzzing, one target per oracle tier: FuzzChurnTrace
 # replays decoded operation traces under the incremental-vs-full-rebuild

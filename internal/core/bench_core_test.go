@@ -11,19 +11,17 @@ import (
 // allocation-regression gates for the dense slot-indexed store, the
 // per-op analogue of internal/graph's bench/alloc gates for the arena.
 // BenchmarkRecoveryOp prices one steady-state recovery operation
-// (delete + insert at fixed n) on the dense columns against the
-// map-store oracle; the Test*Allocs gates pin the dense recovery path
-// at zero allocations per op so a map or slice can't silently sneak
-// back into it.
+// (delete + insert at fixed n); the Test*Allocs gates pin the recovery
+// path at zero allocations per op so a map or slice can't silently
+// sneak back into it.
 
 // steadyEngine builds an n-node network, churned enough that the
 // store's free lists and the arena runs are at steady-state capacity,
 // with history capped so metrics append-growth can't masquerade as a
 // recovery-path allocation.
-func steadyEngine(tb testing.TB, n int, useMap bool) *Network {
+func steadyEngine(tb testing.TB, n int) *Network {
 	cfg := DefaultConfig()
 	cfg.HistoryCap = 128
-	cfg.useMapState = useMap
 	nw, err := New(64, cfg)
 	if err != nil {
 		tb.Fatal(err)
@@ -57,38 +55,31 @@ func steadyEngine(tb testing.TB, n int, useMap bool) *Network {
 
 // BenchmarkRecoveryOp measures one steady-state recovery operation — a
 // delete (adoption + redistribution walks) followed by an insert
-// (donor walk) at constant n — on the dense slot-indexed store versus
-// the historical map store. Both engines run the identical seeded op
-// stream (the two backends are byte-identical in behavior, enforced by
-// TestDenseMatchesMapOracle), so the delta is pure representation
-// cost. Run via `make bench-core`.
+// (donor walk) at constant n — on the slot-indexed store. The row keeps
+// its historical "dense" name, which the committed BENCH_core.json
+// baseline and the bench-diff gate key on. Run via `make bench-core`.
 func BenchmarkRecoveryOp(b *testing.B) {
 	for _, size := range []int{100000} {
-		for _, backend := range []struct {
-			name   string
-			useMap bool
-		}{{"dense", false}, {"mapstore", true}} {
-			b.Run(fmt.Sprintf("%s/n=%d", backend.name, size), func(b *testing.B) {
-				nw := steadyEngine(b, size, backend.useMap)
-				rng := rand.New(rand.NewSource(23))
-				// Start the window GC-clean: setup churns through
-				// hundreds of MB, and whether the pacer fires a cycle
-				// inside the short timed window is otherwise a coin
-				// flip worth ±20% on ns/op (the loop itself allocates
-				// nothing, so a fresh pacer epoch stays quiet).
-				runtime.GC()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := nw.Delete(nw.SampleNode(rng)); err != nil {
-						b.Fatal(err)
-					}
-					if err := nw.Insert(nw.FreshID(), nw.SampleNode(rng)); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("dense/n=%d", size), func(b *testing.B) {
+			nw := steadyEngine(b, size)
+			rng := rand.New(rand.NewSource(23))
+			// Start the window GC-clean: setup churns through
+			// hundreds of MB, and whether the pacer fires a cycle
+			// inside the short timed window is otherwise a coin
+			// flip worth ±20% on ns/op (the loop itself allocates
+			// nothing, so a fresh pacer epoch stays quiet).
+			runtime.GC()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := nw.Delete(nw.SampleNode(rng)); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if err := nw.Insert(nw.FreshID(), nw.SampleNode(rng)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -103,7 +94,7 @@ func TestRecoveryOpZeroAllocsSteadyState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("steady-state warmup is a few thousand ops")
 	}
-	nw := steadyEngine(t, 4096, false)
+	nw := steadyEngine(t, 4096)
 	rng := rand.New(rand.NewSource(29))
 	// One more warm lap so FreshID growth and scratch slices are sized.
 	for i := 0; i < 256; i++ {

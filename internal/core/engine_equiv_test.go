@@ -1,9 +1,13 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"maps"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -176,100 +180,168 @@ func TestDifferentialChurnTraces(t *testing.T) {
 	}
 }
 
-// equalEngineState fails the test unless the two networks are in
-// byte-identical externally observable states: mapping, loads, vertex
-// sets, overlay edges, modulus, and per-step metrics history. It is
-// backend-agnostic (the snapshots materialize either store).
-func equalEngineState(t *testing.T, tag string, a, b *Network) {
-	t.Helper()
-	if a.P() != b.P() || a.Size() != b.Size() {
-		t.Fatalf("%s: shape diverged: p %d vs %d, n %d vs %d", tag, a.P(), b.P(), a.Size(), b.Size())
-	}
-	if !reflect.DeepEqual(a.simOf, b.simOf) {
-		t.Fatalf("%s: virtual mapping diverged", tag)
-	}
-	if !reflect.DeepEqual(a.st.loadSnapshot(), b.st.loadSnapshot()) {
-		t.Fatalf("%s: load tables diverged", tag)
-	}
-	if !reflect.DeepEqual(a.st.simSnapshot(), b.st.simSnapshot()) {
-		t.Fatalf("%s: vertex sets diverged", tag)
-	}
-	if !reflect.DeepEqual(a.real.Edges(), b.real.Edges()) {
-		t.Fatalf("%s: overlay edge multisets diverged", tag)
-	}
-	if !reflect.DeepEqual(a.History(), b.History()) {
-		ah, bh := a.History(), b.History()
-		for i := range ah {
-			if i < len(bh) && ah[i] != bh[i] {
-				t.Fatalf("%s: history diverged at step %d:\nfirst:  %+v\nsecond: %+v", tag, i+1, ah[i], bh[i])
-			}
-		}
-		t.Fatalf("%s: history lengths diverged: %d vs %d", tag, len(ah), len(bh))
-	}
+// goldenArm is one seeded trace of TestDenseMatchesMapOracle.
+type goldenArm struct {
+	name    string
+	mode    RecoveryMode
+	n0      int
+	seed    int64 // engine seed
+	trace   int64 // traceStep RNG seed
+	predraw int   // walk seeds pre-drawn into the pending queue
+	audit   AuditMode
+	steps   int
 }
 
-// TestDenseMatchesMapOracle is the store-swap safety gate, mirroring
-// how PR 3 gated the graph arena against graph.Ref: the dense
-// slot-indexed store and the historical map store must be externally
-// indistinguishable — byte-identical History, virtual mapping, loads,
-// vertex sets, and overlay — through growth, deletion storms, batches,
-// and both rebuild modes, with the per-operation audit tiers running on
-// both engines throughout. The workers=N arms start both engines with
-// the N-1 pre-drawn walk seeds a checkpoint of an N-wide walk pool
-// could carry (see predrawPending), so the seed-queue drain runs under
-// the oracle too; each arm keeps its historical trace seed 19+N.
-func TestDenseMatchesMapOracle(t *testing.T) {
+// goldenArms lists the pinned traces. The workers=N arms are named
+// after the walk-pool widths they were first recorded under: engine
+// seed 19+N, with the N-1 pre-drawn walk seeds a checkpoint of an
+// N-wide pool could carry (see predrawPending), so the seed-queue
+// drain stays pinned too. The churn-seed7 arms are the 16-node,
+// 250-step trace of the former store-level churn gate.
+func goldenArms() []goldenArm {
+	var arms []goldenArm
 	for _, mode := range []RecoveryMode{Staggered, Simplified} {
 		for _, workers := range []int{1, 4, 8} {
 			for _, audit := range []AuditMode{AuditOff, AuditSampled, AuditFull} {
 				if audit == AuditFull && workers == 4 {
 					continue // full audit is O(p) per op; two widths suffice
 				}
-				t.Run(fmt.Sprintf("%v/workers=%d/audit=%v", mode, workers, audit), func(t *testing.T) {
-					cfg := DefaultConfig()
-					cfg.Mode = mode
-					cfg.Seed = int64(19 + workers)
-					dense, err := New(32, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					cfgM := cfg
-					cfgM.useMapState = true
-					oracle, err := New(32, cfgM)
-					if err != nil {
-						t.Fatal(err)
-					}
-					predrawPending(dense, workers-1)
-					predrawPending(oracle, workers-1)
-					rngD := rand.New(rand.NewSource(cfg.Seed * 31))
-					rngM := rand.New(rand.NewSource(cfg.Seed * 31))
-					steps := 220
-					if audit == AuditFull {
-						steps = 120
-					}
-					for i := 0; i < steps; i++ {
-						errD := traceStep(dense, rngD)
-						errM := traceStep(oracle, rngM)
-						if (errD == nil) != (errM == nil) {
-							t.Fatalf("op %d: errors diverged: %v vs %v", i, errD, errM)
-						}
-						if dense.LastStep() != oracle.LastStep() {
-							t.Fatalf("op %d: metrics diverged:\ndense:  %+v\noracle: %+v", i, dense.LastStep(), oracle.LastStep())
-						}
-						if err := dense.Audit(audit); err != nil {
-							t.Fatalf("op %d: dense audit: %v", i, err)
-						}
-						if err := oracle.Audit(audit); err != nil {
-							t.Fatalf("op %d: oracle audit: %v", i, err)
-						}
-					}
-					equalEngineState(t, "after oracle churn", dense, oracle)
-					if err := dense.CheckInvariants(); err != nil {
-						t.Fatal(err)
-					}
+				steps := 220
+				if audit == AuditFull {
+					steps = 120
+				}
+				seed := int64(19 + workers)
+				arms = append(arms, goldenArm{
+					name: fmt.Sprintf("%v/workers=%d/audit=%v", mode, workers, audit),
+					mode: mode, n0: 32, seed: seed, trace: seed * 31,
+					predraw: workers - 1, audit: audit, steps: steps,
 				})
 			}
 		}
+		arms = append(arms, goldenArm{
+			name: fmt.Sprintf("%v/churn-seed7", mode),
+			mode: mode, n0: 16, seed: 7, trace: 99,
+			audit: AuditSampled, steps: 250,
+		})
+	}
+	return arms
+}
+
+// goldenDigests pins stateDigest at the end of every golden arm. They
+// were recorded while a second, map-keyed store backend still ran
+// beside the dense columns and produced byte-identical state on every
+// arm, so they carry that cross-check forward without the backend.
+// Arms that differ only in audit tier share a digest (audits never
+// touch engine state), as do the two modes until a trace reaches its
+// first type-2 rebuild. A change that alters seeded behaviour on
+// purpose must re-record them and say why.
+var goldenDigests = map[string]string{
+	"staggered/workers=1/audit=off":      "28c9a3af1f88f856d62bf8395f31e316e59d6c406031c4c8c49f4a6b6a32f81d",
+	"staggered/workers=1/audit=sampled":  "28c9a3af1f88f856d62bf8395f31e316e59d6c406031c4c8c49f4a6b6a32f81d",
+	"staggered/workers=1/audit=full":     "8bbd78226cefc0bf5edcb207ae0a0992c150936b4707b3389ee3eb375398bda6",
+	"staggered/workers=4/audit=off":      "506989f85e690e1709ff42f8a267e10dab3b70591b5bc0393eb34a4cdac249d5",
+	"staggered/workers=4/audit=sampled":  "506989f85e690e1709ff42f8a267e10dab3b70591b5bc0393eb34a4cdac249d5",
+	"staggered/workers=8/audit=off":      "d55437a7b7ce135c628d3fc2a208e3718c4e32220641dd136d76892a0c2d558c",
+	"staggered/workers=8/audit=sampled":  "d55437a7b7ce135c628d3fc2a208e3718c4e32220641dd136d76892a0c2d558c",
+	"staggered/workers=8/audit=full":     "bb013638b21c1b7a2b6492cbec07ea55159404ebacbd5c6e4814400051bcc206",
+	"staggered/churn-seed7":              "732a74abbd40dbd696ad7bdd16f0fdc6246f247dd08f09d951bfa518da87c85a",
+	"simplified/workers=1/audit=off":     "28c9a3af1f88f856d62bf8395f31e316e59d6c406031c4c8c49f4a6b6a32f81d",
+	"simplified/workers=1/audit=sampled": "28c9a3af1f88f856d62bf8395f31e316e59d6c406031c4c8c49f4a6b6a32f81d",
+	"simplified/workers=1/audit=full":    "8bbd78226cefc0bf5edcb207ae0a0992c150936b4707b3389ee3eb375398bda6",
+	"simplified/workers=4/audit=off":     "506989f85e690e1709ff42f8a267e10dab3b70591b5bc0393eb34a4cdac249d5",
+	"simplified/workers=4/audit=sampled": "506989f85e690e1709ff42f8a267e10dab3b70591b5bc0393eb34a4cdac249d5",
+	"simplified/workers=8/audit=off":     "5d9439c3e9811c200d05f67b6694acc7d7d43ed8b31c9cb2b379d211bf1b3c46",
+	"simplified/workers=8/audit=sampled": "5d9439c3e9811c200d05f67b6694acc7d7d43ed8b31c9cb2b379d211bf1b3c46",
+	"simplified/workers=8/audit=full":    "bb013638b21c1b7a2b6492cbec07ea55159404ebacbd5c6e4814400051bcc206",
+	"simplified/churn-seed7":             "e0581e62231d58dc12e93bca6d7e5a773038d4ee6c651395e1083b75b40d8f3a",
+}
+
+// stateDigest hashes the externally visible engine state: the per-step
+// metrics history, the virtual mapping, every node's load and Sim set,
+// and the overlay's edge multiset. Each section is length-prefixed and
+// nodes are visited in ascending id order, so the digest depends on
+// the state alone.
+func stateDigest(nw *Network) string {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(vs ...int64) {
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(buf[:], uint64(v))
+			h.Write(buf[:])
+		}
+	}
+	flag := func(b bool) int64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	hist := nw.History()
+	put(int64(len(hist)))
+	for _, m := range hist {
+		put(int64(m.Step), int64(m.Op), int64(m.Target),
+			int64(m.Rounds), int64(m.Messages), int64(m.TopologyChanges),
+			int64(m.Recovery), int64(m.WalkRetries), int64(m.Floods),
+			flag(m.StaggerActive), flag(m.StaggerStarted), flag(m.StaggerFinished),
+			int64(m.N), m.P)
+	}
+	put(int64(len(nw.simOf)))
+	for _, u := range nw.simOf {
+		put(int64(u))
+	}
+	loads, sims := nw.st.loadSnapshot(), nw.st.simSnapshot()
+	nodes := slices.Sorted(maps.Keys(sims))
+	put(int64(len(nodes)))
+	for _, u := range nodes {
+		put(int64(u), int64(loads[u]), int64(len(sims[u])))
+		for _, x := range sims[u] {
+			put(int64(x))
+		}
+	}
+	edges := nw.real.Edges()
+	put(int64(len(edges)))
+	for _, e := range edges {
+		put(int64(e.U), int64(e.V), int64(e.Mult))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestDenseMatchesMapOracle pins seeded engine behaviour byte for byte:
+// growth, deletion storms, batches, and both rebuild modes, with the
+// arm's audit tier run after every operation. Each arm ends with the
+// exhaustive invariant check, a comparison of the incremental overlay
+// against a from-scratch RecomputeGraph, and a digest of the whole
+// observable state against goldenDigests. The name is kept from when a
+// second, map-keyed engine ran each arm in lockstep: the digests are
+// that oracle's recorded output, so the dense store still has to match
+// it.
+func TestDenseMatchesMapOracle(t *testing.T) {
+	for _, arm := range goldenArms() {
+		t.Run(arm.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Mode = arm.mode
+			cfg.Seed = arm.seed
+			nw := mustNew(t, arm.n0, cfg)
+			predrawPending(nw, arm.predraw)
+			rng := rand.New(rand.NewSource(arm.trace))
+			for i := 0; i < arm.steps; i++ {
+				if err := traceStep(nw, rng); err != nil {
+					t.Fatalf("op %d: %v", i, err)
+				}
+				if err := nw.Audit(arm.audit); err != nil {
+					t.Fatalf("op %d: audit %v: %v", i, arm.audit, err)
+				}
+			}
+			if err := nw.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if err := graphsEqual(nw.real, nw.RecomputeGraph()); err != nil {
+				t.Fatalf("incremental overlay diverged from full rebuild: %v", err)
+			}
+			if got, want := stateDigest(nw), goldenDigests[arm.name]; got != want {
+				t.Fatalf("seeded behaviour changed: state digest %s, want %s", got, want)
+			}
+		})
 	}
 }
 

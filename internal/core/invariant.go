@@ -17,7 +17,8 @@ import (
 //	     sets agree, and every node simulates >= 1 vertex (Definition 2);
 //	(I3) loads: load(u) = |Sim(u)| (+ new holdings during staggering),
 //	     bounded by 4*zeta steady-state (Lemma 3/5) and 8*zeta during a
-//	     staggered rebuild (Lemma 9(a));
+//	     staggered rebuild (Lemma 9(a)); the store's mirror and vertex
+//	     arenas are coherent (checkCoherence, checkArenas);
 //	(I4) the real graph is exactly the contraction of the current virtual
 //	     structure under Phi - including, mid-rebuild, the partial new
 //	     cycle and its intermediate edges;
@@ -41,6 +42,9 @@ func (nw *Network) checkInvariants(enforceLoadBounds bool) error {
 		return fmt.Errorf("I1: %w", err)
 	}
 	if err := nw.st.checkCoherence(); err != nil {
+		return fmt.Errorf("I3: %w", err)
+	}
+	if err := nw.st.checkArenas(); err != nil {
 		return fmt.Errorf("I3: %w", err)
 	}
 

@@ -26,7 +26,7 @@
 // Per-node engine state (loads, vertex sets, dirty tracking, staggering
 // bookkeeping) lives in a slot-indexed columnar store layered on the
 // overlay graph's dense slot table — see store.go for the layout and
-// the map-based oracle it is differentially tested against.
+// the checks that guard it.
 package core
 
 import (
@@ -92,12 +92,6 @@ type Config struct {
 	// discarded, so long churn runs hold O(cap) metrics memory while
 	// Totals keeps exact lifetime aggregates.
 	HistoryCap int
-
-	// useMapState selects the historical map-keyed state store instead
-	// of the dense slot-indexed columns: the differential oracle for
-	// engine_equiv_test and the bench-core baseline. Test-only, hence
-	// unexported; the two backends are byte-identical in behavior.
-	useMapState bool
 }
 
 // DefaultConfig returns the configuration used by the experiments.
@@ -124,7 +118,7 @@ type Network struct {
 	// st holds every per-node table — loads, Sim/NewSim vertex sets,
 	// dirty tracking, the O(1) sampling mirror, and the
 	// staggering counters — in slot-indexed columns over nw.real's slot
-	// table (or, for the differential oracle, in the historical maps).
+	// table.
 	st state
 
 	dist0 []int32 // cached BFS distances from vertex 0 (coordinator routing)
@@ -269,34 +263,34 @@ func New(n0 int, cfg Config) (*Network, error) {
 // columns grow and recycle with its slot table from here on.
 func (nw *Network) initTracking() {
 	nw.real = graph.New()
-	nw.st.init(nw.real, nw.cfg.useMapState, nw.cfg.Zeta)
+	nw.st.init(nw.real, nw.cfg.Zeta)
 	nw.auditRng = rand.New(rand.NewSource(nw.cfg.Seed ^ 0x5eed_a0d1))
 	st := &nw.st
 	zeta := nw.cfg.Zeta
 	lowT := 2 * zeta
-	nw.steadyInsertStop = func(u NodeID, s int32) bool { return u != nw.stopExclude && st.loadAt(u, s) >= 2 }
-	nw.steadyLowStop = func(u NodeID, s int32) bool { return st.loadAt(u, s) <= lowT }
-	nw.holdNewStop = func(u NodeID, s int32) bool {
-		return st.newLenAt(u, s) < 4*zeta && st.loadAt(u, s) < 8*zeta-1
+	nw.steadyInsertStop = func(u NodeID, s int32) bool { return u != nw.stopExclude && st.loadAt(s) >= 2 }
+	nw.steadyLowStop = func(_ NodeID, s int32) bool { return st.loadAt(s) <= lowT }
+	nw.holdNewStop = func(_ NodeID, s int32) bool {
+		return st.newLenAt(s) < 4*zeta && st.loadAt(s) < 8*zeta-1
 	}
-	nw.inflateP2Stop = func(u NodeID, s int32) bool { return st.loadAt(u, s) <= 6*zeta }
-	nw.deflateHoldStop = func(u NodeID, s int32) bool {
-		return st.loadAt(u, s) <= 6*zeta && st.effNewAt(u, s) < 4*zeta
+	nw.inflateP2Stop = func(_ NodeID, s int32) bool { return st.loadAt(s) <= 6*zeta }
+	nw.deflateHoldStop = func(_ NodeID, s int32) bool {
+		return st.loadAt(s) <= 6*zeta && st.effNewAt(s) < 4*zeta
 	}
 	nw.stagInsertStop = func(w NodeID, s int32) bool {
 		if w == nw.stopExclude {
 			return false
 		}
 		if nw.stagPhase2 {
-			return st.newLenAt(w, s) >= 2
+			return st.newLenAt(s) >= 2
 		}
-		if st.newLenAt(w, s) >= 2 {
+		if st.newLenAt(s) >= 2 {
 			return true
 		}
-		return st.loadAt(w, s) >= 2 && st.unprocOldAt(w, s) >= 1
+		return st.loadAt(s) >= 2 && st.unprocOldAt(s) >= 1
 	}
-	nw.serialContendStop = func(w NodeID, s int32) bool { return w != nw.contendU && st.newLenAt(w, s) >= 2 }
-	nw.shedStop = func(w NodeID, s int32) bool { return w != nw.shedExcl && st.effNewAt(w, s) < 4*zeta }
+	nw.serialContendStop = func(w NodeID, s int32) bool { return w != nw.contendU && st.newLenAt(s) >= 2 }
+	nw.shedStop = func(w NodeID, s int32) bool { return w != nw.shedExcl && st.effNewAt(s) < 4*zeta }
 }
 
 // --- basic accessors -------------------------------------------------------
@@ -503,7 +497,7 @@ func (nw *Network) bumpLoad(u NodeID, delta int) {
 func (nw *Network) setLoadAt(u NodeID, s int32, l int, fresh bool) {
 	old := -1
 	if !fresh {
-		old = nw.st.loadAt(u, s)
+		old = nw.st.loadAt(s)
 		if old == l {
 			return
 		}
@@ -528,7 +522,7 @@ func (nw *Network) setLoadAt(u NodeID, s int32, l int, fresh bool) {
 
 //dexvet:noalloc
 func (nw *Network) bumpLoadAt(u NodeID, s int32, delta int) {
-	nw.setLoadAt(u, s, nw.st.loadAt(u, s)+delta, false)
+	nw.setLoadAt(u, s, nw.st.loadAt(s)+delta, false)
 }
 
 // --- virtual-edge enumeration and vertex movement --------------------------
@@ -703,10 +697,10 @@ func (nw *Network) moveVertexAt(x Vertex, u, w NodeID, su, sw int32) {
 			nw.removeRealEdgeAt(u, su, nw.stag.newSimOf[pe.src])
 		}
 	}
-	nw.st.simRemoveAt(u, su, x)
+	nw.st.simRemoveAt(su, x)
 	nw.bumpLoadAt(u, su, -1)
 	nw.simOf[x] = w
-	nw.st.simAddAt(w, sw, x)
+	nw.st.simAddAt(sw, x)
 	nw.bumpLoadAt(w, sw, 1)
 	for _, t := range nw.slotTargets(x) {
 		if nw.stag != nil && nw.stag.phase == 2 && nw.stag.dropped(t) {

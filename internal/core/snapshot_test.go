@@ -233,23 +233,13 @@ func TestSnapshotRoundTripMidStagger(t *testing.T) {
 	}
 }
 
-func TestSnapshotRejectsOracleAndForeignRNG(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.useMapState = true
-	nw, err := New(16, cfg)
+func TestSnapshotRejectsForeignRNG(t *testing.T) {
+	nw, err := New(16, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	nw.SetRNG(rand.New(rand.NewSource(7)))
 	if err := nw.AppendState(wire.NewEncoder(nil)); err == nil {
-		t.Fatal("AppendState accepted the map-backed oracle store")
-	}
-
-	nw2, err := New(16, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw2.SetRNG(rand.New(rand.NewSource(7)))
-	if err := nw2.AppendState(wire.NewEncoder(nil)); err == nil {
 		t.Fatal("AppendState accepted a replaced RNG")
 	}
 }

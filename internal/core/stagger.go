@@ -158,7 +158,6 @@ func (nw *Network) startStagger(dir stagDirection) bool {
 		steps = 1
 	}
 	s.batch = (pOld + steps - 1) / steps
-	nw.st.stagReset()
 	for _, u := range nw.st.nodeList {
 		nw.st.addUnprocOld(u, nw.st.simLen(u))
 		proj := 0
@@ -374,7 +373,7 @@ func (nw *Network) retryContenders(force bool) {
 		if !ok {
 			continue // node deleted while waiting
 		}
-		if nw.st.newLenAt(u, sl) > 0 {
+		if nw.st.newLenAt(sl) > 0 {
 			continue // received a vertex meanwhile
 		}
 		eligible = append(eligible, u)
@@ -397,8 +396,7 @@ func (nw *Network) retryContenders(force bool) {
 // contendStop is the contender donor predicate: donors must keep one
 // vertex (the paper's "taken" reservation), hence newCount >= 2. The
 // predicate is prebuilt (serialContendStop, parameterized by
-// nw.contendU) and reads only the store's dense new-count column (or
-// the oracle's map).
+// nw.contendU) and reads only the store's new-count column.
 func (nw *Network) contendStop(u NodeID) func(NodeID, int32) bool {
 	nw.contendU = u
 	return nw.serialContendStop
@@ -554,7 +552,6 @@ func (nw *Network) commitStagger() {
 	for _, u := range nw.st.nodeList {
 		nw.st.promoteNew(u)
 	}
-	nw.st.stagDone()
 	nw.refreshDist0()
 	nw.stag = nil
 	nw.step.StaggerFinished = true

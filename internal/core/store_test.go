@@ -3,57 +3,19 @@ package core
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 // corruptLoad bumps u's stored load behind the engine's back — without
 // touching counters, sets, or dirty marks — for audit-detection tests.
 func (st *state) corruptLoad(u NodeID, d int) {
-	if m := st.m; m != nil {
-		m.load[u] += d
-		return
-	}
 	s, ok := st.g.SlotOf(u)
 	if !ok {
 		panic("corruptLoad: unknown node")
 	}
 	sh, i := st.shardOf(s)
 	sh.load[i] += int32(d)
-}
-
-// newMapConfig returns cfg with the map-backed oracle store selected.
-func newMapConfig(cfg Config) Config {
-	cfg.useMapState = true
-	return cfg
-}
-
-// TestStoreBackendsAgreeUnderChurn drives a dense-store engine and a
-// map-store engine through the identical randomized trace and checks
-// the full externally observable state after every operation — the
-// store-level differential gate under all the rebuild machinery.
-func TestStoreBackendsAgreeUnderChurn(t *testing.T) {
-	for _, mode := range []RecoveryMode{Staggered, Simplified} {
-		cfg := DefaultConfig()
-		cfg.Mode = mode
-		cfg.Seed = 7
-		dense := mustNew(t, 16, cfg)
-		oracle := mustNew(t, 16, newMapConfig(cfg))
-		if dense.st.dense() == oracle.st.dense() {
-			t.Fatal("backends not distinct")
-		}
-		rngD := rand.New(rand.NewSource(99))
-		rngO := rand.New(rand.NewSource(99))
-		for i := 0; i < 250; i++ {
-			errD := traceStep(dense, rngD)
-			errO := traceStep(oracle, rngO)
-			if (errD == nil) != (errO == nil) {
-				t.Fatalf("%v op %d: errors diverged: %v vs %v", mode, i, errD, errO)
-			}
-			if dense.LastStep() != oracle.LastStep() {
-				t.Fatalf("%v op %d: metrics diverged:\ndense:  %+v\noracle: %+v", mode, i, dense.LastStep(), oracle.LastStep())
-			}
-		}
-		equalEngineState(t, mode.String(), dense, oracle)
-	}
 }
 
 // TestStoreVertexArenaRecycles checks the store's size-class free
@@ -141,5 +103,113 @@ func TestStoreSlotReuseResetsTracking(t *testing.T) {
 	}
 	if err := nw.Audit(AuditSampled); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDirtySetCoversStepFootprint checks the set the sampled audit
+// re-verifies: after every operation of a seeded trace — single ops,
+// batches, and both rebuild modes — each live endpoint of the step's
+// EdgesChanged deltas and each live node whose load changed must be
+// visited by forEachDirty.
+func TestDirtySetCoversStepFootprint(t *testing.T) {
+	for _, mode := range []RecoveryMode{Staggered, Simplified} {
+		cfg := DefaultConfig()
+		cfg.Mode = mode
+		cfg.Seed = 13
+		nw := mustNew(t, 16, cfg)
+		var deltas []graph.EdgeDelta
+		nw.SetEdgeObserver(func(_ int, ds []graph.EdgeDelta) { deltas = append(deltas, ds...) })
+		rng := rand.New(rand.NewSource(41))
+		dirty := make(map[NodeID]bool)
+		rebuilds := 0
+		for i := 0; i < 400; i++ {
+			before := nw.st.loadSnapshot()
+			deltas = deltas[:0]
+			if err := traceStep(nw, rng); err != nil {
+				t.Fatalf("%v op %d: %v", mode, i, err)
+			}
+			if nw.LastStep().Recovery != RecoveryType1 {
+				rebuilds++
+			}
+			clear(dirty)
+			nw.st.forEachDirty(func(u NodeID) bool {
+				dirty[u] = true
+				return true
+			})
+			require := func(u NodeID, why string) {
+				if nw.st.has(u) && !dirty[u] {
+					t.Fatalf("%v op %d: node %d (%s) missing from the dirty set", mode, i, u, why)
+				}
+			}
+			for _, d := range deltas {
+				require(d.U, "edge endpoint")
+				require(d.V, "edge endpoint")
+			}
+			for u, l := range nw.st.loadSnapshot() {
+				if before[u] != l {
+					require(u, "load changed")
+				}
+			}
+		}
+		if rebuilds == 0 {
+			t.Fatalf("%v: trace never reached a type-2 rebuild", mode)
+		}
+	}
+}
+
+// TestCompactionMidStaggerKeepsNewRuns pushes a shard over the arena
+// compaction threshold (more than 2048 cells, over half of them free)
+// while a staggered rebuild holds live NewSim runs, then requires the
+// repacked arena to carry every current and next-cycle run intact —
+// through the exhaustive check and on to the rebuild's commit.
+func TestCompactionMidStaggerKeepsNewRuns(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Mode = Staggered
+	nw := mustNew(t, 32, cfg)
+	driveToStagger(t, nw, 20000)
+	sh := nw.st.shards[0]
+	liveNext := func() int {
+		live := 0
+		for i := range sh.nxt {
+			if sh.nxt[i].n > 0 {
+				live++
+			}
+		}
+		return live
+	}
+	rng := rand.New(rand.NewSource(3))
+	for liveNext() == 0 {
+		if active, _ := nw.Rebuilding(); !active {
+			t.Fatal("rebuild committed before any NewSim run went live")
+		}
+		if err := nw.Insert(nw.FreshID(), nw.SampleNode(rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Park one big run on the free lists so the pool crosses the
+	// threshold, then compact.
+	off, got := sh.arena.alloc(4096)
+	sh.arena.release(off, got)
+	pool := len(sh.arena.buf)
+	if pool <= 2048 || 2*sh.arena.freeCells <= pool {
+		t.Fatalf("pool %d cells, %d free: below the compaction threshold", pool, sh.arena.freeCells)
+	}
+	sh.maybeCompact()
+	if len(sh.arena.buf) >= pool || sh.arena.freeCells != 0 {
+		t.Fatalf("compaction did not run: pool %d -> %d, %d free", pool, len(sh.arena.buf), sh.arena.freeCells)
+	}
+	if active, _ := nw.Rebuilding(); !active || liveNext() == 0 {
+		t.Fatal("compaction no longer runs mid-stagger")
+	}
+	if err := nw.CheckInvariants(); err != nil {
+		t.Fatalf("after mid-stagger compaction: %v", err)
+	}
+	for active, _ := nw.Rebuilding(); active; active, _ = nw.Rebuilding() {
+		if err := nw.Insert(nw.FreshID(), nw.SampleNode(rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := nw.CheckInvariants(); err != nil {
+		t.Fatalf("after the rebuild commit: %v", err)
 	}
 }

@@ -50,11 +50,11 @@ func (nw *Network) recoverInsert(id, attach NodeID, idSlot, attachSlot int32) {
 	// to the generic path by construction; engine_equiv_test and
 	// FuzzChurnTrace enforce it.
 	if nw.stag == nil &&
-		nw.st.loadAt(attach, attachSlot) >= 2 &&
+		nw.st.loadAt(attachSlot) >= 2 &&
 		nw.real.DistinctDegreeAt(attachSlot) <= 8*nw.cfg.Zeta {
 		nw.stopExclude = id // keep the predicate state exactly as insertStop leaves it
 		_ = nw.walkSeed()   // 0-step walks draw nothing from the seed
-		best := nw.st.simMaxAt(attach, attachSlot)
+		best := nw.st.simMaxAt(attachSlot)
 		if best < 0 {
 			panic("core: donor has no vertex")
 		}
