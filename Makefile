@@ -8,7 +8,7 @@ FUZZTIME ?= 30s
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test test-race vet fmt lint check bench bench-graph bench-core bench-json bench-diff profile-churn mutants fuzz fuzz-churn fuzz-graph fuzz-crash sim sim-scale dht experiments
+.PHONY: all build test test-race vet fmt lint check bench bench-graph bench-core bench-json bench-diff perfbench profile-churn mutants fuzz fuzz-churn fuzz-graph fuzz-crash sim sim-scale dht experiments
 
 all: check
 
@@ -121,6 +121,17 @@ bench-diff:
 	$(GO) run ./cmd/benchdiff -baseline BENCH_graph.json -fresh /tmp/bench_graph_fresh.json \
 		-gate 'BenchmarkWalkHop,BenchmarkGraphChurn'
 
+# The repo benchmark (BENCHMARK.json): one workload of perfbench/ —
+# steady, rebuild or durable — built from this checkout into
+# .bench_build/ and run for a 10 s measured window, printing every
+# end-to-end metric by name. Run-to-run comparisons must keep SEED
+# fixed; the exact counters (msgs/rounds/topo per op) repeat bit for bit.
+WORKLOAD ?= steady
+SEED ?= 1
+
+perfbench:
+	bash perfbench/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 10 --trace 0
+
 # Churn-trace profiling: a CPU + allocation pprof pair for the engine's
 # steady-state churn hot path — the profile that motivated PR 10's
 # findNbr fence and insert fast path. Artifacts land in profiles/
@@ -138,14 +149,15 @@ profile-churn:
 		-benchtime $(PROFILE_BENCHTIME) -timeout 20m $(PROFILE_FLAGS) \
 		-cpuprofile profiles/churn_cpu.pprof -memprofile profiles/churn_alloc.pprof
 
-# Store mutation harness: copies the module into a temp dir, seeds each
-# fault listed in internal/core/mutants_test.go into store.go in turn,
+# Mutation harness: copies the module into a temp dir, seeds each fault
+# listed in internal/core/mutants_test.go into its target file (store.go
+# for the state store, invariant.go for the audit's row check) in turn,
 # and requires `go test -short ./internal/core ./internal/persist` to
 # fail on every one. An anchor that no longer matches exactly once
 # fails the harness, so the mutant list cannot rot silently. Runs the
 # two suites once per mutant (a few minutes).
 mutants:
-	$(GO) test -tags mutants ./internal/core -run '^TestStoreMutants$$' -count 1 -timeout 60m -v
+	$(GO) test -tags mutants ./internal/core -run '^TestMutants$$' -count 1 -timeout 60m -v
 
 # Differential fuzzing, one target per oracle tier: FuzzChurnTrace
 # replays decoded operation traces under the incremental-vs-full-rebuild

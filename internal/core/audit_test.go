@@ -76,6 +76,143 @@ func TestCheckNodeDetectsMappingCorruption(t *testing.T) {
 	}
 }
 
+// TestCheckNodeDetectsRaisedMultiplicity adds a parallel copy of an
+// existing distinct-neighbor edge: the neighbor is present on both sides
+// of the row merge, so only the multiplicity comparison can catch it.
+func TestCheckNodeDetectsRaisedMultiplicity(t *testing.T) {
+	nw, u := corruptible(t)
+	var v NodeID = -1
+	nw.real.ForEachNeighbor(u, func(w NodeID, _ int) bool {
+		if w != u {
+			v = w
+			return false
+		}
+		return true
+	})
+	if v < 0 {
+		t.Fatal("no distinct neighbor")
+	}
+	nw.real.AddEdge(u, v)
+	if err := nw.CheckNode(u); err == nil {
+		t.Fatal("node-local audit missed a raised multiplicity")
+	}
+}
+
+// TestCheckNodeDetectsMissingSelfLoop strips an expected self-loop from
+// the arena entirely, so the expected self-loop count is left over
+// after the row merge.
+func TestCheckNodeDetectsMissingSelfLoop(t *testing.T) {
+	nw := mustNew(t, 16, DefaultConfig())
+	churnQuiet(t, nw, 50)
+	for _, u := range nw.Nodes() {
+		if m := nw.real.Multiplicity(u, u); m > 0 {
+			nw.real.RemoveEdgeMult(u, u, m)
+			if err := nw.CheckNode(u); err == nil {
+				t.Fatal("node-local audit missed a removed self-loop")
+			}
+			return
+		}
+	}
+	t.Fatal("no node with a self-loop")
+}
+
+// TestCheckNodeDetectsMissingLastNeighbor removes every copy of u's
+// largest-id neighbor while smaller neighbors stay, so the merge
+// consumes the whole arena run and the expected neighbor is left in
+// the scratch row.
+func TestCheckNodeDetectsMissingLastNeighbor(t *testing.T) {
+	nw := mustNew(t, 16, DefaultConfig())
+	churnQuiet(t, nw, 50)
+	for _, u := range nw.Nodes() {
+		nbrs := nw.real.Neighbors(u)
+		if len(nbrs) < 2 || nbrs[len(nbrs)-1] == u {
+			continue
+		}
+		last := nbrs[len(nbrs)-1]
+		nw.real.RemoveEdgeMult(u, last, nw.real.Multiplicity(u, last))
+		if err := nw.CheckNode(u); err == nil {
+			t.Fatal("node-local audit missed a missing last neighbor")
+		}
+		return
+	}
+	t.Fatal("no node whose largest neighbor is distinct")
+}
+
+// midStagger drives a staggered network into an inflation and on until
+// some node holds generated new vertices and owns an old vertex with
+// pending intermediate edges, so CheckNode's NewSim and pending-edge
+// branches both have work. It returns that node.
+func midStagger(t *testing.T) (*Network, NodeID) {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Mode = Staggered
+	nw := mustNew(t, 256, cfg) // large enough that a rebuild spans many steps
+	driveToStagger(t, nw, 4000)
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 200; i++ {
+		if active, _ := nw.Rebuilding(); !active {
+			break
+		}
+		for _, u := range nw.Nodes() {
+			pending := false
+			nw.st.simForEach(u, func(x Vertex) bool {
+				pending = len(nw.stag.pending[x]) > 0
+				return !pending
+			})
+			if pending && nw.st.newLen(u) > 0 {
+				return nw, u
+			}
+		}
+		nodes := nw.Nodes()
+		if err := nw.Insert(nw.FreshID(), nodes[rng.Intn(len(nodes))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Fatal("no node with both new vertices and pending edges mid-rebuild")
+	return nil, 0
+}
+
+func TestCheckNodeDetectsCorruptionMidStagger(t *testing.T) {
+	nw, u := midStagger(t)
+	if err := nw.CheckNode(u); err != nil {
+		t.Fatalf("healthy mid-rebuild node: %v", err)
+	}
+	v := nw.real.Neighbors(u)[0]
+	nw.real.AddEdge(u, v)
+	if err := nw.CheckNode(u); err == nil {
+		t.Fatal("node-local audit missed a corrupted edge mid-rebuild")
+	}
+}
+
+// TestSampledAuditZeroAllocs pins the sampled audit at zero
+// allocations, after steady churn and in the middle of a staggered
+// rebuild. Auditing every node once first grows the row scratch to
+// the largest row, so the measured runs start from a warm buffer.
+func TestSampledAuditZeroAllocs(t *testing.T) {
+	steady := mustNew(t, 64, DefaultConfig())
+	churnQuiet(t, steady, 300)
+	stag, _ := midStagger(t)
+	for _, c := range []struct {
+		name string
+		nw   *Network
+	}{{"steady", steady}, {"staggered", stag}} {
+		name, nw := c.name, c.nw
+		for _, u := range nw.Nodes() {
+			if err := nw.CheckNode(u); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := nw.Audit(AuditSampled); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: sampled audit allocates %.2f per call, want 0", name, allocs)
+		}
+	}
+}
+
 // TestSampledAuditChecksDirtyNodes verifies the sampled tier re-verifies
 // exactly the nodes the last operation touched: corrupting a node's row
 // and then operating on it must trip the next sampled audit.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -261,7 +262,8 @@ func (nw *Network) Audit(mode AuditMode) error {
 // (I2), load accounting and bounds (I3), the contraction row — u's real
 // edges must equal the contraction of the virtual structure restricted
 // to u (I4, node-locally), stagger bookkeeping (I8), and the sampling
-// mirror. It costs O(load(u)) = O(zeta), independent of n and p.
+// mirror. It costs O(load(u)·log load(u)) — independent of n and p —
+// and allocates only on the failure path that formats the error.
 func (nw *Network) CheckNode(u NodeID) error {
 	if !nw.st.has(u) {
 		return fmt.Errorf("audit: unknown node %d", u)
@@ -269,14 +271,7 @@ func (nw *Network) CheckNode(u NodeID) error {
 	if i, ok := nw.st.mirrorPos(u); !ok || nw.st.nodeList[i] != u {
 		return fmt.Errorf("audit: node %d missing from sampling mirror", u)
 	}
-	var stray Vertex = -1
-	nw.st.simForEach(u, func(x Vertex) bool {
-		if nw.simOf[x] != u {
-			stray = x
-			return false
-		}
-		return true
-	})
+	loops, same, stray := nw.wantRow(u)
 	if stray >= 0 {
 		return fmt.Errorf("audit: Sim(%d) contains %d owned by %d", u, stray, nw.simOf[stray])
 	}
@@ -323,43 +318,48 @@ func (nw *Network) CheckNode(u NodeID) error {
 	if want > maxLoad {
 		return fmt.Errorf("audit: load(%d) = %d exceeds bound %d", u, want, maxLoad)
 	}
-	row, err := nw.wantRow(u)
-	if err != nil {
-		return err
+	if same%2 != 0 {
+		return fmt.Errorf("audit: node %d has odd self-incidence count %d", u, same)
 	}
-	nbrs := nw.real.Neighbors(u)
-	if len(nbrs) != len(row) {
-		return fmt.Errorf("audit: node %d has %d distinct real neighbors, contraction wants %d", u, len(nbrs), len(row))
-	}
-	for _, v := range nbrs {
-		if got, want := nw.real.Multiplicity(u, v), row[v]; got != want {
-			return fmt.Errorf("audit: edge {%d,%d} multiplicity %d, contraction wants %d", u, v, got, want)
-		}
+	if v, got, want, ok := nw.rowMatches(u, loops+same/2); !ok {
+		return fmt.Errorf("audit: edge {%d,%d} multiplicity %d, contraction wants %d", u, v, got, want)
 	}
 	return nil
 }
 
-// wantRow computes u's expected real adjacency row — the contraction of
-// the virtual structure restricted to edges incident to u — in O(load(u))
-// time by enumerating the edge slots of u's own vertices (old cycle,
-// and, mid-rebuild, generated new vertices plus the intermediate edges
-// anchored at u's unprocessed old vertices). Every non-loop virtual edge
-// with both endpoints at u is enumerated from both sides, so its
-// incidence count is halved; virtual self-loops are enumerated once.
-// The rules mirror expectedRealGraph exactly, which the differential
-// tests enforce.
-func (nw *Network) wantRow(u NodeID) (map[NodeID]int, error) {
+// wantRow collects u's expected real adjacency row — the contraction of
+// the virtual structure restricted to edges incident to u — into
+// nw.rowScratch, one entry per virtual edge slot, by enumerating the
+// edge slots of u's own vertices (old cycle, and, mid-rebuild, generated
+// new vertices plus the intermediate edges anchored at u's unprocessed
+// old vertices). Slots whose other endpoint is u itself are not
+// collected: virtual self-loops are counted in loops, and slots of
+// non-loop virtual edges with both endpoints at u in same (each such
+// edge is enumerated from both sides, so same must be even and the edge
+// count is same/2). The same walk over Sim(u) checks Phi's ownership:
+// the first vertex of Sim(u) mapped elsewhere is returned as stray
+// (-1 if none), and the row is incomplete in that case. The rules
+// mirror expectedRealGraph exactly, which the differential tests
+// enforce. It runs in O(load(u)) and never allocates once rowScratch
+// has grown to the largest row seen.
+//
+//dexvet:noalloc
+func (nw *Network) wantRow(u NodeID) (loops, same int, stray Vertex) {
 	s := nw.stag
-	row := make(map[NodeID]int)
-	loops, same := 0, 0
+	row := nw.rowScratch[:0]
+	stray = -1
 	add := func(other NodeID) {
 		if other == u {
 			same++
 		} else {
-			row[other]++
+			row = append(row, other)
 		}
 	}
 	nw.st.simForEach(u, func(x Vertex) bool {
+		if nw.simOf[x] != u {
+			stray = x
+			return false
+		}
 		for _, t := range nw.z.NeighborSlots(x) {
 			if t == x {
 				loops++ // chord self-loop of the old cycle
@@ -370,9 +370,14 @@ func (nw *Network) wantRow(u NodeID) (map[NodeID]int, error) {
 			}
 			add(nw.simOf[t])
 		}
+		if s != nil {
+			for _, pe := range s.pending[x] {
+				add(s.newSimOf[pe.src]) // intermediate edges anchored at u
+			}
+		}
 		return true
 	})
-	if s != nil {
+	if s != nil && stray < 0 {
 		resolve := func(t Vertex) NodeID {
 			if v := s.newSimOf[t]; v >= 0 {
 				return v // endpoint generated: direct edge
@@ -395,20 +400,62 @@ func (nw *Network) wantRow(u NodeID) (map[NodeID]int, error) {
 			}
 			return true
 		})
-		nw.st.simForEach(u, func(x Vertex) bool {
-			for _, pe := range s.pending[x] {
-				add(s.newSimOf[pe.src]) // intermediate edges anchored at u
-			}
-			return true
-		})
 	}
-	if same%2 != 0 {
-		return nil, fmt.Errorf("audit: node %d has odd self-incidence count %d", u, same)
+	nw.rowScratch = row
+	return loops, same, stray
+}
+
+// rowMatches compares the row wantRow collected, together with self,
+// the expected self-loop multiplicity, against u's run in the real
+// graph's arena. It sorts the row and merges it with the run (sorted by
+// id, one cell per distinct neighbor carrying its multiplicity), so a
+// distinct neighbor's expected multiplicity is the length of its run
+// of equal row entries.
+// On the first disagreement it returns that neighbor with the real and
+// the expected multiplicity and ok=false; a neighbor absent on one side
+// has multiplicity 0 there. It costs O(load(u)·log load(u)) and never
+// allocates.
+//
+//dexvet:noalloc
+func (nw *Network) rowMatches(u NodeID, self int) (v NodeID, got, want int, ok bool) {
+	row := nw.rowScratch
+	slices.Sort(row)
+	i := 0
+	ok = true
+	nw.real.ForEachNeighbor(u, func(w NodeID, mult int) bool {
+		if i < len(row) && row[i] < w {
+			return false // row[i] is missing from the run
+		}
+		n := 0
+		if w == u {
+			n, self = self, 0
+		}
+		for ; i < len(row) && row[i] == w; i++ {
+			n++
+		}
+		if mult != n {
+			v, got, want, ok = w, mult, n, false
+			return false
+		}
+		return true
+	})
+	if !ok {
+		return v, got, want, ok
 	}
-	if l := loops + same/2; l > 0 {
-		row[u] = l
+	// An unconsumed row entry (past the end of the run, or where the
+	// merge stopped early) is an expected neighbor the arena lacks; an
+	// unconsumed self is an expected self-loop it lacks.
+	if i < len(row) {
+		v = row[i]
+		for ; i < len(row) && row[i] == v; i++ {
+			want++
+		}
+		return v, 0, want, false
 	}
-	return row, nil
+	if self > 0 {
+		return u, 0, self, false
+	}
+	return 0, 0, 0, true
 }
 
 // RecomputeGraph rebuilds the real overlay from the virtual structure

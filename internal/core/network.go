@@ -180,7 +180,8 @@ type Network struct {
 	stagPhase2        bool   // stagInsertStop: rebuild is in phase 2
 	holdScratch       []holding
 	vertScratch       []Vertex
-	contendSlots      []int32 // eligible contenders' start slots, parallel to eligible
+	contendSlots      []int32  // eligible contenders' start slots, parallel to eligible
+	rowScratch        []NodeID // CheckNode's expected contraction row (wantRow)
 
 	// fastInserts counts steady-state inserts committed through
 	// recoverInsert's degree-capped short-circuit (diagnostics only —
