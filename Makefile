@@ -72,31 +72,40 @@ bench-core:
 	$(GO) test ./internal/core -run '^$$' -bench RecoveryOp -benchtime 2000x -timeout 20m
 	$(GO) test . -run '^$$' -bench ConcurrentChurn -benchtime 300x -timeout 20m
 
-# Machine-readable benchmark baselines: re-run the hot-path benchmarks
-# with -benchmem and emit BENCH_core.json / BENCH_graph.json via
-# cmd/benchjson. CI diffs fresh runs against the committed files via
-# cmd/benchdiff (see bench-diff below). The core and persist packages
-# run in separate invocations — `go test p1 p2` runs the two test
-# binaries concurrently, and the contention skews the gated
-# RecoveryOp row by 20%+. The graph rows use a 2M-iteration window
-# (at ~200ns/op, 100000x is a 20ms sample and pure scheduler noise),
-# and every gated row is the fastest of several reruns — benchjson
-# keeps the minimum per name, the noise-robust statistic on a host with
-# steal (the recovery-op row takes 6: measured steal bursts run 2-3
-# samples long, so 3 reruns can miss the floor entirely).
-bench-json:
+# The benchmark rows bench-json records and bench-diff re-measures, as
+# one recipe so the two targets cannot drift apart: $(call bench_rows,
+# CORE_JSON,GRAPH_JSON) writes the core/persist/façade rows to CORE_JSON
+# and the graph rows to GRAPH_JSON via cmd/benchjson. The core and
+# persist packages run in separate invocations — `go test p1 p2` runs
+# the two test binaries concurrently, and the contention skews the gated
+# RecoveryOp row by 20%+. The graph rows use a 2M-iteration window (at
+# ~200ns/op, 100000x is a 20ms sample and pure scheduler noise), and
+# every gated row is the fastest of several reruns — benchjson keeps the
+# minimum per name, the noise-robust statistic on a host with steal (the
+# recovery-op row takes 6: measured steal bursts run 2-3 samples long,
+# so 3 reruns can miss the floor entirely; the serialized façade-churn
+# row takes 5: single samples of it spread ±20%, wider than the gate).
+define bench_rows
 	$(GO) test ./internal/core -run '^$$' \
 		-bench 'RecoveryOp/dense' -benchtime 200x -benchmem -count 6 -timeout 20m \
-		| $(GO) run ./cmd/benchjson > BENCH_core.json
+		| $(GO) run ./cmd/benchjson > $(1)
 	$(GO) test ./internal/persist -run '^$$' \
 		-bench 'WALAppend|Checkpoint' -benchtime 200x -benchmem -timeout 20m \
-		| $(GO) run ./cmd/benchjson -append BENCH_core.json
+		| $(GO) run ./cmd/benchjson -append $(1)
 	$(GO) test . -run '^$$' \
-		-bench 'ConcurrentChurn' -benchtime 300x -benchmem -timeout 20m \
-		| $(GO) run ./cmd/benchjson -append BENCH_core.json
+		-bench 'ConcurrentChurn' -benchtime 300x -benchmem -count 5 -timeout 20m \
+		| $(GO) run ./cmd/benchjson -append $(1)
 	$(GO) test ./internal/graph -run '^$$' \
 		-bench 'WalkHop|GraphChurn' -benchtime 2000000x -benchmem -count 3 \
-		| $(GO) run ./cmd/benchjson > BENCH_graph.json
+		| $(GO) run ./cmd/benchjson > $(2)
+endef
+
+# Machine-readable benchmark baselines: re-run the hot-path benchmarks
+# with -benchmem and emit BENCH_core.json / BENCH_graph.json. CI diffs
+# fresh runs against the committed files via cmd/benchdiff (see
+# bench-diff below).
+bench-json:
+	$(call bench_rows,BENCH_core.json,BENCH_graph.json)
 
 # Thresholded benchmark ratchet: regenerate fresh measurements and diff
 # them against the committed baselines. The walk-hop, graph-churn,
@@ -104,18 +113,7 @@ bench-json:
 # ns/op drift or any allocs/op increase; all other rows are report-only (runner noise makes
 # a blanket hard gate hostile).
 bench-diff:
-	$(GO) test ./internal/core -run '^$$' \
-		-bench 'RecoveryOp/dense' -benchtime 200x -benchmem -count 6 -timeout 20m \
-		| $(GO) run ./cmd/benchjson > /tmp/bench_core_fresh.json
-	$(GO) test ./internal/persist -run '^$$' \
-		-bench 'WALAppend|Checkpoint' -benchtime 200x -benchmem -timeout 20m \
-		| $(GO) run ./cmd/benchjson -append /tmp/bench_core_fresh.json
-	$(GO) test . -run '^$$' \
-		-bench 'ConcurrentChurn' -benchtime 300x -benchmem -timeout 20m \
-		| $(GO) run ./cmd/benchjson -append /tmp/bench_core_fresh.json
-	$(GO) test ./internal/graph -run '^$$' \
-		-bench 'WalkHop|GraphChurn' -benchtime 2000000x -benchmem -count 3 \
-		| $(GO) run ./cmd/benchjson > /tmp/bench_graph_fresh.json
+	$(call bench_rows,/tmp/bench_core_fresh.json,/tmp/bench_graph_fresh.json)
 	$(GO) run ./cmd/benchdiff -baseline BENCH_core.json -fresh /tmp/bench_core_fresh.json \
 		-gate 'BenchmarkRecoveryOp/dense/n=100000,BenchmarkConcurrentChurn/serialized/c=1'
 	$(GO) run ./cmd/benchdiff -baseline BENCH_graph.json -fresh /tmp/bench_graph_fresh.json \

@@ -60,7 +60,8 @@ type StaggerFinished struct {
 // identical to the live graph — including across type-2 rebuilds, which
 // arrive as exactly the edges that changed. Within one step it is
 // delivered after every VertexTransferred/GraphRebuilt event and before
-// StaggerStarted/StaggerFinished.
+// StaggerStarted/StaggerFinished. Deltas is a fresh slice per step:
+// the receiver owns it and may keep it (async subscribers rely on this).
 type EdgesChanged struct {
 	Step   int // 1-based step index, matching StepMetrics.Step
 	Deltas []EdgeDelta

@@ -48,6 +48,51 @@ func sameEdgeMultiset(t *testing.T, live, mirror *dex.Graph, step int) {
 	}
 }
 
+// churnTarget is the operation surface edgeChurn drives; both
+// *dex.Network and *dex.Concurrent provide it.
+type churnTarget interface {
+	Nodes() []dex.NodeID
+	FreshID() dex.NodeID
+	Size() int
+	Insert(id, attach dex.NodeID) error
+	Delete(id dex.NodeID) error
+	InsertBatch(specs []dex.InsertSpec) error
+	DeleteBatch(ids []dex.NodeID) error
+}
+
+// edgeChurn drives the edge-event churn schedule shared by the event
+// tests: mostly single inserts, with periodic two-node batch inserts and
+// batch deletes. after runs once per completed operation with its index.
+func edgeChurn(t *testing.T, nw churnTarget, seed int64, ops int, after func(i int)) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	var err error
+	for i := 0; i < ops; i++ {
+		nodes := nw.Nodes()
+		switch {
+		case i%25 == 24: // batch insert, distinct attach points
+			specs := []dex.InsertSpec{
+				{ID: nw.FreshID(), Attach: nodes[rng.Intn(len(nodes))]},
+				{ID: nw.FreshID(), Attach: nodes[(rng.Intn(len(nodes))+1)%len(nodes)]},
+			}
+			err = nw.InsertBatch(specs)
+		case i%25 == 12 && nw.Size() > 8:
+			err = nw.DeleteBatch(nodes[:2])
+			if err != nil {
+				err = nil // model-illegal batch rejected: state (and mirror) untouched
+			}
+		case rng.Float64() < 0.7 || nw.Size() <= 6:
+			err = nw.Insert(nw.FreshID(), nodes[rng.Intn(len(nodes))])
+		default:
+			err = nw.Delete(nodes[rng.Intn(len(nodes))])
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		after(i)
+	}
+}
+
 // TestEdgeEventsReplayMirrorsGraph is the event-layer differential test:
 // replaying the batched EdgesChanged diffs onto a copy of the overlay
 // keeps the copy identical to the live graph through type-1 recovery,
@@ -77,31 +122,7 @@ func TestEdgeEventsReplayMirrorsGraph(t *testing.T) {
 			})
 			defer cancel()
 
-			rng := rand.New(rand.NewSource(11))
-			for i := 0; i < 500; i++ {
-				nodes := nw.Nodes()
-				switch {
-				case i%25 == 24: // batch insert, distinct attach points
-					specs := []dex.InsertSpec{
-						{ID: nw.FreshID(), Attach: nodes[rng.Intn(len(nodes))]},
-						{ID: nw.FreshID(), Attach: nodes[(rng.Intn(len(nodes))+1)%len(nodes)]},
-					}
-					err = nw.InsertBatch(specs)
-				case i%25 == 12 && nw.Size() > 8:
-					err = nw.DeleteBatch(nodes[:2])
-					if err != nil {
-						err = nil // model-illegal batch rejected: state (and mirror) untouched
-					}
-				case rng.Float64() < 0.7 || nw.Size() <= 6:
-					err = nw.Insert(nw.FreshID(), nodes[rng.Intn(len(nodes))])
-				default:
-					err = nw.Delete(nodes[rng.Intn(len(nodes))])
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameEdgeMultiset(t, nw.Graph(), mirror.g, i)
-			}
+			edgeChurn(t, nw, 11, 500, func(i int) { sameEdgeMultiset(t, nw.Graph(), mirror.g, i) })
 			if batches == 0 {
 				t.Fatal("no EdgesChanged events delivered")
 			}

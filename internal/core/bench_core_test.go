@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 // This file is the bench-core tier: the engine-state benchmarks and
@@ -115,5 +117,38 @@ func TestRecoveryOpZeroAllocsSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state delete+insert allocates %.2f per pair, want 0", allocs)
+	}
+}
+
+// TestRecoveryOpEdgeObserverAllocs is the same gate with an edge
+// observer registered: the step's edge log is reused, so the only
+// allocation a step may make is the batch handed to the observer — at
+// most two per delete+insert pair.
+func TestRecoveryOpEdgeObserverAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("steady-state warmup is a few thousand ops")
+	}
+	nw := steadyEngine(t, 4096)
+	batches := 0
+	nw.SetEdgeObserver(func(int, []graph.EdgeDelta) { batches++ })
+	rng := rand.New(rand.NewSource(31))
+	pair := func() {
+		if err := nw.Delete(nw.SampleNode(rng)); err != nil {
+			t.Fatal(err)
+		}
+		if err := nw.Insert(nw.FreshID(), nw.SampleNode(rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 256; i++ {
+		pair()
+	}
+	batches = 0
+	allocs := testing.AllocsPerRun(400, pair)
+	if batches == 0 {
+		t.Fatal("observer received no batches")
+	}
+	if allocs > 2 {
+		t.Fatalf("steady-state delete+insert with an edge observer allocates %.2f per pair, want <= 2", allocs)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/spectral"
 )
 
@@ -356,4 +357,32 @@ func TestHistoryAndAccessors(t *testing.T) {
 	if nw.OrphanRescues() != 0 {
 		t.Fatal("unexpected orphan rescues")
 	}
+}
+
+// TestEdgeLogDropsRebuildSpike checks the edge log's retained capacity:
+// a one-step type-2 rebuild logs far more than edgeLogRetainCap
+// mutations, and after that step the log must be back under the bound
+// rather than pinning the spike's O(n) backing array for every later
+// step.
+func TestEdgeLogDropsRebuildSpike(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Mode = Simplified
+	cfg.Seed = 17
+	nw := mustNew(t, 64, cfg)
+	largest := 0
+	nw.SetEdgeObserver(func(_ int, ds []graph.EdgeDelta) { largest = max(largest, len(ds)) })
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 20000; i++ {
+		largest = 0
+		if err := nw.Insert(nw.FreshID(), nw.SampleNode(rng)); err != nil {
+			t.Fatal(err)
+		}
+		if c := cap(nw.edgeLog); c > edgeLogRetainCap {
+			t.Fatalf("step %d: edge log keeps capacity %d, bound %d", i, c, edgeLogRetainCap)
+		}
+		if nw.LastStep().Recovery != RecoveryType1 && largest > edgeLogRetainCap {
+			return // the spike happened and was dropped
+		}
+	}
+	t.Fatal("no type-2 rebuild step logged more than edgeLogRetainCap mutations")
 }

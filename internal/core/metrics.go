@@ -137,9 +137,7 @@ func (nw *Network) beginStep(op OpKind, target NodeID) {
 	nw.rebuiltReal = false
 	// Dirty tracking resets by generation bump (see store.go).
 	nw.st.resetDirty()
-	if len(nw.edgeDeltas) > 0 {
-		nw.edgeDeltas = resetScratchMap(nw.edgeDeltas)
-	}
+	nw.edgeLog = nw.edgeLog[:0] // a step cut short by a panic leaves nothing behind
 }
 
 func (nw *Network) endStep() StepMetrics {

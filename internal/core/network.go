@@ -30,11 +30,12 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/congest"
 	"repro/internal/graph"
@@ -135,10 +136,10 @@ type Network struct {
 	totals      Totals
 	rebuiltReal bool // set when a one-step type-2 rebuild rewired nw.real
 
-	// edgeDeltas accumulates the step's net real-edge changes per node
-	// pair; it is only maintained while an edge observer is registered and
-	// is flushed (sorted, zeroes dropped) at the end of each step.
-	edgeDeltas   map[edgeKey]int
+	// edgeLog records the step's real-edge mutations, one {min, max, ±k}
+	// entry per mutation, while an edge observer is registered;
+	// flushEdgeDeltas merges it into the step's batch at step end.
+	edgeLog      []graph.EdgeDelta
 	edgeObserver func(step int, deltas []graph.EdgeDelta)
 
 	// auditRng drives sampled audits; it is separate from rng so auditing
@@ -384,42 +385,62 @@ func (nw *Network) SampleNode(r *rand.Rand) NodeID {
 }
 
 // SetEdgeObserver registers a callback receiving, once per step, the
-// step's net real-edge changes as a batched, deterministically sorted
-// diff (nil to clear). Only net changes are reported: an edge added and
-// removed within one step cancels out.
+// step's net real-edge changes as a batched diff sorted by (U, V), one
+// entry per pair, U <= V, no zero entries (nil to clear). Only net
+// changes are reported: an edge added and removed within one step
+// cancels out. Each batch is a fresh slice the callback owns and may
+// keep; a step with no net change delivers nothing.
 //
 //dexvet:mutator
 func (nw *Network) SetEdgeObserver(f func(step int, deltas []graph.EdgeDelta)) {
 	nw.edgeObserver = f
-	if f != nil && nw.edgeDeltas == nil {
-		nw.edgeDeltas = make(map[edgeKey]int)
-	}
 }
 
-// flushEdgeDeltas delivers the step's accumulated edge diff.
+// edgeLogRetainCap bounds the edge log capacity kept across steps: a
+// type-2 rebuild logs O(n) entries, and that spike is dropped, not pinned.
+const edgeLogRetainCap = 1024
+
+// logEdge appends one real-edge mutation of multiplicity k to the log.
+//
+//dexvet:noalloc
+func (nw *Network) logEdge(a, b NodeID, k int) {
+	if a > b {
+		a, b = b, a
+	}
+	nw.edgeLog = append(nw.edgeLog, graph.EdgeDelta{U: a, V: b, Delta: k})
+}
+
+// flushEdgeDeltas merges the step's edge log into its net diff (sorted
+// by (U, V), equal pairs summed, zero sums dropped), resets the log for
+// reuse and hands the observer an exact-size copy it may keep.
 func (nw *Network) flushEdgeDeltas() {
-	if nw.edgeObserver == nil || len(nw.edgeDeltas) == 0 {
+	log := nw.edgeLog
+	nw.edgeLog = log[:0]
+	if cap(log) > edgeLogRetainCap {
+		nw.edgeLog = nil
+	}
+	if nw.edgeObserver == nil || len(log) == 0 {
 		return
 	}
-	out := make([]graph.EdgeDelta, 0, len(nw.edgeDeltas))
-	for k, d := range nw.edgeDeltas {
-		if d != 0 {
-			out = append(out, graph.EdgeDelta{U: k.u, V: k.v, Delta: d})
-		}
-	}
-	// A rebuild's O(n)-entry diff must not leave every later clear()
-	// paying for the spike's table capacity (see scratchMapResetCap).
-	nw.edgeDeltas = resetScratchMap(nw.edgeDeltas)
-	if len(out) == 0 {
-		return
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
+	slices.SortFunc(log, func(x, y graph.EdgeDelta) int {
+		return cmp.Or(cmp.Compare(x.U, y.U), cmp.Compare(x.V, y.V))
 	})
-	nw.edgeObserver(nw.step.Step, out)
+	n := 0
+	for i := 0; i < len(log); {
+		d := log[i]
+		for i++; i < len(log) && log[i].U == d.U && log[i].V == d.V; i++ {
+			d.Delta += log[i].Delta
+		}
+		if d.Delta != 0 {
+			log[n] = d
+			n++
+		}
+	}
+	if n > 0 {
+		out := make([]graph.EdgeDelta, n)
+		copy(out, log)
+		nw.edgeObserver(nw.step.Step, out)
+	}
 }
 
 // MaxLoad returns the maximum total load over all nodes.
@@ -532,16 +553,6 @@ func (nw *Network) bumpLoadAt(u NodeID, s int32, delta int) {
 // p-cycle.
 func (nw *Network) slotTargets(x Vertex) [3]Vertex { return nw.z.NeighborSlots(x) }
 
-// edgeKey canonically orders an undirected node pair for delta tracking.
-type edgeKey struct{ u, v NodeID }
-
-func pairKey(a, b NodeID) edgeKey {
-	if a > b {
-		a, b = b, a
-	}
-	return edgeKey{a, b}
-}
-
 // markDirty records that u's real-edge row or load changed this step;
 // sampled audits re-verify exactly the dirty nodes. Every mutation a
 // walk or stop predicate can observe funnels through here (edge rows
@@ -557,7 +568,7 @@ func (nw *Network) rawAddEdge(a, b NodeID) {
 	nw.markDirty(a)
 	nw.markDirty(b)
 	if nw.edgeObserver != nil {
-		nw.edgeDeltas[pairKey(a, b)]++
+		nw.logEdge(a, b, 1)
 	}
 }
 
@@ -568,7 +579,7 @@ func (nw *Network) rawRemoveEdge(a, b NodeID) {
 	nw.markDirty(a)
 	nw.markDirty(b)
 	if nw.edgeObserver != nil {
-		nw.edgeDeltas[pairKey(a, b)]--
+		nw.logEdge(a, b, -1)
 	}
 }
 
@@ -584,7 +595,7 @@ func (nw *Network) rawAddEdgeAt(a NodeID, sa int32, b NodeID) {
 	nw.st.markDirtyAt(a, sa)
 	nw.markDirty(b)
 	if nw.edgeObserver != nil {
-		nw.edgeDeltas[pairKey(a, b)]++
+		nw.logEdge(a, b, 1)
 	}
 }
 
@@ -596,7 +607,7 @@ func (nw *Network) rawRemoveEdgeAt(a NodeID, sa int32, b NodeID) {
 	nw.st.markDirtyAt(a, sa)
 	nw.markDirty(b)
 	if nw.edgeObserver != nil {
-		nw.edgeDeltas[pairKey(a, b)]--
+		nw.logEdge(a, b, -1)
 	}
 }
 
@@ -611,7 +622,7 @@ func (nw *Network) rawAddEdgeMult(a, b NodeID, k int) {
 	nw.markDirty(a)
 	nw.markDirty(b)
 	if nw.edgeObserver != nil {
-		nw.edgeDeltas[pairKey(a, b)] += k
+		nw.logEdge(a, b, k)
 	}
 }
 
@@ -625,7 +636,7 @@ func (nw *Network) rawRemoveEdgeMult(a, b NodeID, k int) {
 	nw.markDirty(a)
 	nw.markDirty(b)
 	if nw.edgeObserver != nil {
-		nw.edgeDeltas[pairKey(a, b)] -= k
+		nw.logEdge(a, b, -k)
 	}
 }
 

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/pcycle"
 )
@@ -534,7 +534,7 @@ func (nw *Network) commitStagger() {
 		}
 	}
 	if len(unassigned) > 0 {
-		sort.Slice(unassigned, func(i, j int) bool { return unassigned[i] < unassigned[j] })
+		slices.Sort(unassigned)
 		for _, u := range unassigned {
 			nw.orphanRescue(u)
 		}

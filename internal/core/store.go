@@ -768,29 +768,6 @@ func (st *state) addUnprocOld(u NodeID, d int) {
 	sh.unprocOld[i] += int32(d)
 }
 
-// --- scratch-buffer API -----------------------------------------------------
-
-// scratchMapResetCap is the live-entry count past which a per-step
-// scratch map is reallocated instead of cleared. clear() on a Go map
-// costs its table capacity, not its live count, and the capacity never
-// shrinks — after one type-2 rebuild floods a scratch map with O(n)
-// entries, every later step would pay an O(n) memclr to wipe a handful
-// (at 10^5 nodes that memclr once dominated the churn profile). The
-// store's own scratch state (the dirty list and stamps) resets by
-// generation bump and never needs this; the helper serves the one
-// map-keyed scratch left, the edge-delta batch keyed by node pair.
-const scratchMapResetCap = 1024
-
-// resetScratchMap empties a per-step scratch map without inheriting a
-// spike's table capacity (see scratchMapResetCap).
-func resetScratchMap[K comparable, V any](m map[K]V) map[K]V {
-	if len(m) > scratchMapResetCap {
-		return make(map[K]V, 64)
-	}
-	clear(m)
-	return m
-}
-
 // --- test/oracle snapshots --------------------------------------------------
 
 // loadSnapshot materializes the load table (test comparisons only).

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/congest"
 	"repro/internal/pcycle"
@@ -182,7 +182,7 @@ func (nw *Network) simplifiedDeflate(initiator NodeID) {
 			contenders = append(contenders, u)
 		}
 	}
-	sort.Slice(contenders, func(i, j int) bool { return contenders[i] < contenders[j] })
+	slices.Sort(contenders)
 	reserved := make(map[NodeID]Vertex, len(pv.verts))
 	for u, vs := range pv.verts {
 		if len(vs) > 0 {
@@ -248,7 +248,7 @@ func (nw *Network) rebalanceWalks(pv *provisional, excess func(NodeID) int, acce
 		if len(heavy) == 0 {
 			return
 		}
-		sort.Slice(heavy, func(i, j int) bool { return heavy[i] < heavy[j] })
+		slices.Sort(heavy)
 		if epoch > epochCap {
 			nw.walkExhaustion++
 			nw.fallbackRebalance(pv, heavy, excess, accepts)
@@ -281,7 +281,7 @@ func (nw *Network) fallbackRebalance(pv *provisional, heavy []NodeID, excess fun
 			sinks = append(sinks, u)
 		}
 	}
-	sort.Slice(sinks, func(i, j int) bool { return sinks[i] < sinks[j] })
+	slices.Sort(sinks)
 	si := 0
 	for _, u := range heavy {
 		for excess(u) > 0 && si < len(sinks) {
@@ -303,7 +303,7 @@ func (nw *Network) fallbackAssign(pv *provisional, u NodeID, reserved map[NodeID
 			donors = append(donors, w)
 		}
 	}
-	sort.Slice(donors, func(i, j int) bool { return donors[i] < donors[j] })
+	slices.Sort(donors)
 	for _, w := range donors {
 		vs := pv.verts[w]
 		y := vs[len(vs)-1]

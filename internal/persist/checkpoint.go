@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -178,7 +178,7 @@ func listCheckpoints(dir string) ([]uint64, error) {
 			steps = append(steps, s)
 		}
 	}
-	sort.Slice(steps, func(i, j int) bool { return steps[i] < steps[j] })
+	slices.Sort(steps)
 	return steps, nil
 }
 
